@@ -9,8 +9,8 @@
 //!   loader), and each scan worker runs the legacy one-page read-ahead
 //!   slot. This is the pre-stage cold path.
 //! * **staged**: the default pool — misses submit fetch requests to the
-//!   coalescing I/O stage, scan workers keep an adaptive prefetch window
-//!   (`StagedReadAhead`) ahead of their cursor, and adjacent page numbers
+//!   coalescing I/O stage, scan workers submit their upcoming surviving
+//!   pages as prefetch runs (`RunReadAhead`), and adjacent page numbers
 //!   ride one ranged `read_pages` call.
 //!
 //! For each latency the report carries the cold scan time on both sides,

@@ -196,6 +196,7 @@ impl PagedDataVector {
             scratch: Vec::new(),
             bitmaps: Vec::new(),
             profile: ScanProfile::default(),
+            read_ahead: true,
         }
     }
 
@@ -334,9 +335,77 @@ pub struct PagedDataVectorIterator<'a> {
     /// [`PagedDataVectorIterator::profile`]). Flushed to the registry's
     /// `scan_*` counters on drop.
     profile: ScanProfile,
+    /// Whether range scans submit their surviving pages to the I/O stage
+    /// as runs ([`RunReadAhead`]). Off when a parallel scan worker drives
+    /// the iterator page by page with its own read-ahead.
+    read_ahead: bool,
+}
+
+/// Run read-ahead for one scan cursor. Arriving at a surviving page, the
+/// scan keeps two runs submitted to the pool's I/O stage through
+/// [`BufferPool::prefetch_submit`]: the one holding the page and the next.
+/// A run is the following surviving pages, at most
+/// [`BufferPool::prefetch_run_limit`] of them, so a worker reads each of
+/// its consecutive page ranges with one ranged read while the scan works
+/// through the run before. Only pages the scan will pin after summary
+/// pruning are submitted, so nothing is read speculatively; a run's tail
+/// that the stage sheds is loaded by the scan's own demand pins.
+pub(crate) struct RunReadAhead {
+    /// Pages per run; 0 when the pool has no I/O stage.
+    run: usize,
+    /// First page not yet considered for a run.
+    cursor: u64,
+    /// Where the newest run starts: arriving there submits the next one.
+    refill_at: u64,
+    keys: Vec<PageKey>,
+}
+
+impl RunReadAhead {
+    pub(crate) fn new(vec: &PagedDataVector) -> Self {
+        RunReadAhead {
+            run: vec.pool.prefetch_run_limit(vec.meta.chain.page_size),
+            cursor: 0,
+            refill_at: 0,
+            keys: Vec::new(),
+        }
+    }
+
+    /// The scan arrived at surviving page `page` and goes on through
+    /// `last`, reading the pages `survives` accepts.
+    pub(crate) fn arrive(
+        &mut self,
+        vec: &PagedDataVector,
+        page: u64,
+        last: u64,
+        survives: impl Fn(u64) -> bool,
+    ) {
+        if self.run == 0 {
+            return;
+        }
+        self.cursor = self.cursor.max(page);
+        while page >= self.refill_at && self.cursor <= last {
+            self.refill_at = self.cursor;
+            self.keys.clear();
+            while self.keys.len() < self.run && self.cursor <= last {
+                if survives(self.cursor) {
+                    self.keys.push(vec.page_key(self.cursor));
+                }
+                self.cursor += 1;
+            }
+            vec.pool.prefetch_submit(&self.keys);
+        }
+    }
 }
 
 impl PagedDataVectorIterator<'_> {
+    /// Turns off this iterator's run read-ahead: the parallel scan workers
+    /// call it one page at a time and submit runs for their partition
+    /// themselves.
+    pub(crate) fn without_read_ahead(mut self) -> Self {
+        self.read_ahead = false;
+        self
+    }
+
     /// Repositions onto `page_no`: a guard-cache hit is free, a miss pins
     /// through the pool (replacing — and thereby releasing — that way's
     /// previous occupant).
@@ -561,7 +630,8 @@ impl PagedDataVectorIterator<'_> {
     /// Applies `body` to every page-contiguous run of chunks overlapping
     /// `from..to` that survives page-summary pruning. Each run's packed
     /// words are loaded into `self.scratch` (one pin, one copy per page)
-    /// before `body(self, first_ci, last_ci)` runs.
+    /// before `body(self, first_ci, last_ci)` runs. The surviving pages are
+    /// submitted ahead of the cursor in runs ([`RunReadAhead`]).
     fn for_each_chunk_run(
         &mut self,
         from: u64,
@@ -569,20 +639,28 @@ impl PagedDataVectorIterator<'_> {
         set: &VidSet,
         mut body: impl FnMut(&mut Self, u64, u64),
     ) -> CoreResult<()> {
-        let cpp = self.vec.meta.chunks_per_page;
+        let vec = self.vec;
+        let cpp = vec.meta.chunks_per_page;
         let first = chunk::chunk_of(from);
         let last = chunk::chunk_of(to - 1);
+        let survives = |p: u64| {
+            let (pmin, pmax) = vec.meta.summaries[p as usize];
+            set.overlaps(pmin, pmax)
+        };
+        let mut ahead = self.read_ahead.then(|| RunReadAhead::new(vec));
         let mut ci = first;
         while ci <= last {
             // Page-summary pruning (§3.3): skip whole pages whose value
             // range cannot match, without loading them.
             let page_no = ci / cpp;
-            let (pmin, pmax) = self.vec.meta.summaries[page_no as usize];
             let page_last = ((page_no + 1) * cpp - 1).min(last);
-            if !set.overlaps(pmin, pmax) {
+            if !survives(page_no) {
                 ci = page_last + 1;
                 self.profile.pages_pruned += 1;
                 continue;
+            }
+            if let Some(ahead) = &mut ahead {
+                ahead.arrive(vec, page_no, last / cpp, survives);
             }
             self.load_chunk_run(page_no, ci, page_last)?;
             body(self, ci, page_last);
@@ -853,9 +931,11 @@ mod tests {
         let values = sample(4000, 500, 9);
         let (pool, paged, _) = build(&values);
         let set = VidSet::range(0, 499);
+        // Every pin lands in exactly one of hits/misses; loads are not pins,
+        // since the scan's read-ahead loads pages no pin has asked for yet.
         let pins = |pool: &BufferPool| {
             let m = pool.metrics();
-            m.hits + m.loads
+            m.hits + m.misses
         };
         let mut it = paged.iter();
         let mut out = Vec::new();
@@ -1011,5 +1091,105 @@ mod summary_tests {
                 (0..2000).filter(|&i| set.contains(values[i as usize])).collect();
             assert_eq!(out, expect, "{set:?}");
         }
+    }
+}
+
+/// The sequential scan's run read-ahead, driven deterministically: the
+/// surviving pages are submitted as one run that a single I/O worker pops
+/// whole. Model-check builds have no I/O stage, so these run only on the
+/// real thread runtime.
+#[cfg(all(test, not(payg_check)))]
+mod run_read_ahead_tests {
+    use super::*;
+    use payg_resman::ResourceManager;
+    use payg_storage::{
+        FaultPlan, FaultyStore, GateStore, IoStageConfig, MemStore, PageStore, PoolConfig,
+    };
+
+    const PRUNED_PAGE: u64 = 3;
+    const PAGES: u64 = 7;
+
+    type Store = GateStore<FaultyStore<MemStore>>;
+
+    /// Seven clustered pages of 3-bit identifiers: page 3 holds only vid 7,
+    /// the others only vids 1 and 2, so `{1, 2}` prunes exactly page 3 by
+    /// its summary. Page 3 is also corrupt in the store, so reading it
+    /// would fail and quarantine it.
+    fn clustered(queue_cap: usize) -> (Arc<Store>, BufferPool, PagedDataVector, Vec<u64>) {
+        let store = Arc::new(GateStore::new(FaultyStore::new(MemStore::new(), FaultPlan::None)));
+        let pool = BufferPool::with_config(
+            Arc::clone(&store) as Arc<dyn PageStore>,
+            ResourceManager::new(),
+            PoolConfig {
+                io_stage: Some(IoStageConfig { workers: 1, max_batch: 16, queue_cap }),
+                ..PoolConfig::default()
+            },
+        );
+        // 256-byte pages hold ten 24-byte chunks of 3-bit ids: 640 rows.
+        let rpp = 640u64;
+        let values: Vec<u64> = (0..PAGES * rpp)
+            .map(|r| if r / rpp == PRUNED_PAGE { 7 } else { 1 + (r * 7919) % 2 })
+            .collect();
+        let paged =
+            PagedDataVector::build(&pool, &PageConfig::tiny(), &BitPackedVec::from_values(&values))
+                .unwrap();
+        assert_eq!((paged.rows_per_page(), paged.pages()), (rpp, PAGES));
+        let bad = paged.page_key(PRUNED_PAGE);
+        store.inner().set_plan(FaultPlan::CorruptPages(vec![bad]));
+        (store, pool, paged, values)
+    }
+
+    #[test]
+    fn sequential_count_reads_its_surviving_pages_as_one_run() {
+        let (store, pool, paged, values) = clustered(256);
+        let set = VidSet::range(1, 2);
+        let n = paged.iter().count(0, paged.len(), &set).unwrap();
+        assert_eq!(n, values.iter().filter(|&&v| set.contains(v)).count() as u64);
+        let k = PAGES - 1;
+        let m = pool.metrics();
+        assert_eq!(m.loads, k, "every surviving page loads once");
+        assert_eq!(store.inner().reads(), k, "the pruned page is never read");
+        assert_eq!(pool.quarantined_pages(), 0);
+        assert_eq!(m.io_submitted, k, "one run, no demand fetches");
+        assert_eq!(
+            m.io_physical_reads, 2,
+            "one ranged read on each side of the pruned page"
+        );
+        pool.assert_no_live_pins("run read-ahead quiesce");
+    }
+
+    #[test]
+    fn a_run_longer_than_the_backlog_sheds_its_tail_to_demand_pins() {
+        // Backlog of 2 with the worker parked on a decoy (surviving page
+        // 4): the scan's run of the other surviving pages keeps two and
+        // sheds the rest, and the scan parks on its first page. A second
+        // thread pins the last page meanwhile, before or after the run was
+        // submitted, so it either loads the page itself or joins the run's
+        // withdrawn slot and then loads it. Opening the gate must finish
+        // both with every page loaded exactly once.
+        let (store, pool, paged, values) = clustered(2);
+        let decoy = paged.page_key(PRUNED_PAGE + 1);
+        store.close();
+        assert_eq!(pool.prefetch_submit(&[decoy]), 1);
+        store.wait_for_waiters(1);
+        let set = VidSet::range(1, 2);
+        let shed = paged.page_key(PAGES - 1);
+        std::thread::scope(|s| {
+            let scan = s.spawn(|| paged.iter().count(0, paged.len(), &set).unwrap());
+            let pin = s.spawn(|| pool.pin(shed).map(|g| g.len()));
+            while pool.metrics().io_shed < 2 {
+                std::thread::yield_now();
+            }
+            store.open();
+            let expect = values.iter().filter(|&&v| set.contains(v)).count() as u64;
+            assert_eq!(scan.join().unwrap(), expect);
+            assert_eq!(pin.join().unwrap().unwrap(), 256);
+        });
+        let m = pool.metrics();
+        assert_eq!(m.loads, PAGES - 1, "the decoy and five more surviving pages, once each");
+        assert!(m.io_shed >= 2, "the run's tail was shed");
+        assert_eq!(store.inner().reads(), PAGES - 1, "single flight: no page is read twice");
+        assert_eq!(pool.quarantined_pages(), 0);
+        pool.assert_no_live_pins("shed run quiesce");
     }
 }

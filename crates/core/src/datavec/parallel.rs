@@ -7,9 +7,9 @@
 //! repositioning iterator — holding a small bounded set of pinned pages via
 //! its guard cache, in the spirit of §3.1.2's single-pin iterator — plus
 //! asynchronous read-ahead for its upcoming surviving pages. When the pool's
-//! cold-path I/O stage is active, read-ahead is an adaptive window of
-//! prefetch submissions whose depth tracks completion latency versus
-//! consumption rate ([`StagedReadAhead`]); otherwise each worker falls back
+//! cold-path I/O stage is active, read-ahead submits those pages to the
+//! stage in runs ([`RunReadAhead`]), which its workers read with one ranged
+//! read per consecutive page range; otherwise each search worker falls back
 //! to one legacy read-ahead slot for its next surviving page.
 //! Per-segment results are concatenated in partition order, which makes the
 //! output bit-identical to the sequential scan.
@@ -19,6 +19,7 @@
 //! surfaces one [`CoreError::ScanAborted`] naming the failing (chain, page)
 //! while the remaining workers stop instead of finishing doomed partitions.
 
+use crate::datavec::paged::RunReadAhead;
 use crate::datavec::PagedDataVector;
 use crate::{CoreError, CoreResult};
 use payg_encoding::chunk::CHUNK_LEN;
@@ -33,8 +34,11 @@ use std::time::Instant;
 pub struct ScanOptions {
     /// Maximum worker threads (1 = sequential on the calling thread).
     pub workers: usize,
-    /// Whether each worker runs an async read-ahead slot for its next page.
-    /// Only affects paged scans.
+    /// Whether each parallel worker reads ahead of its cursor: runs of its
+    /// upcoming surviving pages submitted to the pool's I/O stage, or
+    /// without a stage an async read-ahead slot for its next page. Only
+    /// affects parallel paged scans; the sequential iterator submits runs
+    /// whenever the pool has a stage.
     pub prefetch: bool,
 }
 
@@ -136,88 +140,14 @@ fn scan_abort(vec: &PagedDataVector, page_no: u64, source: CoreError) -> CoreErr
     CoreError::ScanAborted { chain: key.chain.0, page_no: key.page_no, source: Box::new(source) }
 }
 
-/// Deadline-aware read-ahead window for a scan worker when the pool's
-/// cold-path I/O stage is active. Instead of one blocking read-ahead slot,
-/// the worker keeps up to `depth` surviving pages submitted ahead of its
-/// cursor via [`payg_storage::BufferPool::prefetch_submit`] — adjacent
-/// submissions coalesce into ranged reads inside the stage. The depth
-/// adapts to completion latency versus consumption rate: arriving at a page
-/// that is *still not resident* means the stage is losing the race, so the
-/// window doubles (up to [`Self::MAX_DEPTH`]); a long streak of warm
-/// arrivals means the window is outrunning the scan, so it shrinks back.
-struct StagedReadAhead {
-    /// Surviving pages to keep submitted ahead of the scan cursor.
-    depth: u64,
-    /// First page number not yet considered for submission.
-    cursor: u64,
-    /// Consecutive pages found resident on arrival.
-    warm_streak: u32,
-}
-
-impl StagedReadAhead {
-    const INITIAL_DEPTH: u64 = 2;
-    const MAX_DEPTH: u64 = 32;
-    /// Warm arrivals in a row before the window halves.
-    const SHRINK_AFTER: u32 = 8;
-
-    fn new() -> Self {
-        StagedReadAhead { depth: Self::INITIAL_DEPTH, cursor: 0, warm_streak: 0 }
-    }
-
-    /// Feed the adaptation signal: was the page the worker just arrived at
-    /// already resident?
-    fn observe(&mut self, resident: bool) {
-        if resident {
-            self.warm_streak += 1;
-            if self.warm_streak >= Self::SHRINK_AFTER && self.depth > Self::INITIAL_DEPTH {
-                self.depth = (self.depth / 2).max(Self::INITIAL_DEPTH);
-                self.warm_streak = 0;
-            }
-        } else {
-            self.warm_streak = 0;
-            self.depth = (self.depth * 2).min(Self::MAX_DEPTH);
-        }
-    }
-
-    /// Submit prefetches so that up to `depth` surviving pages beyond
-    /// `page` (bounded by `last`) are in flight. Pages already considered
-    /// (below the cursor) are never re-submitted; a submission the stage
-    /// sheds under queue pressure is simply dropped — the demand pin will
-    /// load it.
-    fn top_up(
-        &mut self,
-        vec: &PagedDataVector,
-        page: u64,
-        last: u64,
-        survives: &impl Fn(u64) -> bool,
-    ) {
-        let mut ahead = 0u64;
-        for p in (page + 1)..=last {
-            if ahead == self.depth {
-                break;
-            }
-            if !survives(p) {
-                continue;
-            }
-            ahead += 1;
-            if p < self.cursor {
-                continue;
-            }
-            self.cursor = p + 1;
-            let key = vec.page_key(p);
-            if !vec.pool().is_resident(key) {
-                vec.pool().prefetch_submit(key);
-            }
-        }
-    }
-}
-
 /// Scans one partition page by page with a private repositioning iterator
-/// (one pin) and, when enabled, a private read-ahead slot for the next
-/// surviving page. Before each page the worker polls the scan-wide `cancel`
-/// flag — first error wins: the worker that hits a bad page raises the flag
-/// and returns [`CoreError::ScanAborted`] naming it, and every other worker
-/// quits at its next page boundary instead of finishing doomed work.
+/// (one pin) and, when enabled, read-ahead of its upcoming surviving pages:
+/// runs submitted to the pool's I/O stage ([`RunReadAhead`]), or without a
+/// stage a private read-ahead slot for the next one. Before each page the
+/// worker polls the scan-wide `cancel` flag — first error wins: the worker
+/// that hits a bad page raises the flag and returns
+/// [`CoreError::ScanAborted`] naming it, and every other worker quits at
+/// its next page boundary instead of finishing doomed work.
 /// Returns the matches alongside the worker's own [`ScanProfile`].
 fn scan_partition_worker(
     vec: &PagedDataVector,
@@ -228,7 +158,7 @@ fn scan_partition_worker(
 ) -> CoreResult<(Vec<u64>, ScanProfile)> {
     let mut out = Vec::new();
     let rpp = vec.rows_per_page();
-    let mut it = vec.iter();
+    let mut it = vec.iter().without_read_ahead();
     if rpp == 0 {
         // Width 0: no pages exist, the scan is pure arithmetic.
         it.search(part.from, part.to, set, &mut out)?;
@@ -239,12 +169,12 @@ fn scan_partition_worker(
         set.overlaps(lo, hi)
     };
     // Read-ahead strategy. With the cold-path I/O stage active the worker
-    // keeps an *adaptive window* of prefetch submissions ahead of its
-    // cursor (see `StagedReadAhead`); otherwise it falls back to the legacy
-    // single read-ahead slot, which spawns lazily so a warm scan (every
-    // page resident) never pays for the thread.
+    // submits its surviving pages in runs (see `RunReadAhead`); otherwise
+    // it falls back to the legacy single read-ahead slot, which spawns
+    // lazily so a warm scan (every page resident) never pays for the
+    // thread.
     let staged = prefetch && vec.pool().io_stage_active();
-    let mut window = StagedReadAhead::new();
+    let mut window = staged.then(|| RunReadAhead::new(vec));
     let mut slot: Option<Prefetcher> = None;
     let first = part.from / rpp;
     let last = (part.to - 1) / rpp;
@@ -262,9 +192,8 @@ fn scan_partition_worker(
         // this one, so the store latency overlaps the predicate work. The
         // pool's single-flight load states make our later pin join that load
         // instead of duplicating it.
-        if staged {
-            window.observe(vec.pool().is_resident(vec.page_key(page)));
-            window.top_up(vec, page, last, &survives);
+        if let Some(window) = &mut window {
+            window.arrive(vec, page, last, survives);
         } else if prefetch {
             if let Some(next) = (page + 1..=last).find(|&p| survives(p)) {
                 let key = vec.page_key(next);
@@ -284,26 +213,37 @@ fn scan_partition_worker(
 }
 
 /// [`scan_partition_worker`]'s COUNT twin: popcounts one partition page by
-/// page, polling `cancel` at every page boundary. Page-summary pruning
-/// happens inside [`crate::datavec::PagedDataVectorIterator::count`], which
-/// sees each page's full chunk run.
+/// page, polling `cancel` at every page boundary, with the same run
+/// read-ahead when `prefetch` is on and the pool has an I/O stage.
+/// Page-summary pruning happens inside
+/// [`crate::datavec::PagedDataVectorIterator::count`], which sees each
+/// page's full chunk run.
 fn count_partition_worker(
     vec: &PagedDataVector,
     part: ScanPartition,
     set: &VidSet,
+    prefetch: bool,
     cancel: &AtomicBool,
 ) -> CoreResult<u64> {
     let rpp = vec.rows_per_page();
-    let mut it = vec.iter();
+    let mut it = vec.iter().without_read_ahead();
     if rpp == 0 {
         return it.count(part.from, part.to, set);
     }
+    let survives = |p: u64| {
+        let (lo, hi) = vec.page_summary(p);
+        set.overlaps(lo, hi)
+    };
+    let mut window = prefetch.then(|| RunReadAhead::new(vec));
     let mut total = 0u64;
     let first = part.from / rpp;
     let last = (part.to - 1) / rpp;
     for page in first..=last {
         if cancel.load(Ordering::Relaxed) {
             break;
+        }
+        if let Some(window) = window.as_mut().filter(|_| survives(page)) {
+            window.arrive(vec, page, last, survives);
         }
         let lo = part.from.max(page * rpp);
         let hi = part.to.min((page + 1) * rpp);
@@ -460,7 +400,7 @@ impl PagedDataVector {
             [] => Ok(0),
             [only] => {
                 let _span = ctx.enter(tracer, SpanKind::ScanPartition, only.from);
-                count_partition_worker(self, *only, set, cancel)
+                count_partition_worker(self, *only, set, opts.prefetch, cancel)
             }
             many => std::thread::scope(|s| {
                 let handles: Vec<_> = many
@@ -468,7 +408,7 @@ impl PagedDataVector {
                     .map(|&part| {
                         s.spawn(move || {
                             let _span = ctx.enter(tracer, SpanKind::ScanPartition, part.from);
-                            count_partition_worker(self, part, set, cancel)
+                            count_partition_worker(self, part, set, opts.prefetch, cancel)
                         })
                     })
                     .collect();

@@ -4,11 +4,13 @@
 //! A pool miss no longer reads the store inline. Instead the pinning thread
 //! installs its single-flight `Loading` slot as before, then submits a
 //! [`FetchRequest`] to a bounded two-class queue and parks on a completion
-//! *ticket*. A small worker pool drains the queue in batches, sorts each
+//! *ticket*. Scans submit their upcoming pages as whole prefetch *runs*
+//! (`BufferPool::prefetch_submit`), pushed under one queue lock with one
+//! wakeup. A small worker pool drains the queue in batches, sorts each
 //! batch by `(chain, page_no)`, and **coalesces adjacent page numbers into
 //! one ranged [`read_pages`](crate::PageStore::read_pages) call** — so a
-//! cold sweep whose misses arrive from many scan workers pays one
-//! positioned read per run of consecutive pages instead of one per page.
+//! run, or a cold sweep whose misses arrive from many scan workers, pays
+//! one store call per range of consecutive pages instead of one per page.
 //!
 //! Every request still completes *individually*: per-page CRC verification
 //! happens inside the store's ranged read, a transient fault on one page of
@@ -20,9 +22,10 @@
 //!
 //! Two deadline classes order the queue: `Urgent` (a thread is parked on
 //! the ticket) always pops before `Prefetch` (advisory, droppable). The
-//! prefetch side is bounded; a submission beyond the cap is *cancelled* —
-//! the submitter withdraws its `Loading` slot and publishes so any pin that
-//! joined in the meantime re-inspects and loads itself.
+//! prefetch side is bounded; the tail of a run beyond the cap is
+//! *cancelled* — the submitter withdraws those `Loading` slots and
+//! publishes them so any pin that joined in the meantime re-inspects and
+//! loads itself.
 //!
 //! Lock ranks: the queue mutex is rank `IoQueue` (3), below every pool
 //! lock, and is never held across a store call; tickets are rank `IoTicket`
@@ -168,17 +171,20 @@ impl IoQueue {
         depth
     }
 
-    /// Enqueues a prefetch request, or hands it back when the backlog is
-    /// full or the stage is shutting down (the caller cancels).
-    fn push_prefetch(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
+    /// Enqueues a prefetch run under one lock with one wakeup, so a single
+    /// worker pops it together. Accepts the longest prefix the backlog has
+    /// room for and hands the tail back (the whole run once the stage is
+    /// shutting down) for the caller to cancel. Returns the queue depth
+    /// after the push and the shed tail.
+    fn push_prefetch_run(&self, mut run: Vec<FetchRequest>) -> (usize, Vec<FetchRequest>) {
         let mut st = self.state.lock();
-        if st.closed || st.prefetch.len() >= self.prefetch_cap {
-            return Err(req);
+        let room = if st.closed { 0 } else { self.prefetch_cap.saturating_sub(st.prefetch.len()) };
+        let shed = run.split_off(room.min(run.len()));
+        if !run.is_empty() {
+            st.prefetch.extend(run);
+            self.cv.notify_one();
         }
-        st.prefetch.push_back(req);
-        let depth = st.urgent.len() + st.prefetch.len();
-        self.cv.notify_one();
-        Ok(depth)
+        (st.urgent.len() + st.prefetch.len(), shed)
     }
 
     /// Pops up to `max` requests, urgent class first. Blocks while the
@@ -218,6 +224,9 @@ impl IoQueue {
 pub(crate) struct IoStage {
     queue: Arc<IoQueue>,
     workers: Vec<JoinHandle<()>>,
+    /// Requests one worker pops per wakeup: the longest prefetch run that
+    /// is read together.
+    pub max_batch: usize,
 }
 
 impl IoStage {
@@ -243,18 +252,22 @@ impl IoStage {
                     .expect("spawn io-stage worker")
             })
             .collect();
-        Some(IoStage { queue, workers: handles })
+        Some(IoStage { queue, workers: handles, max_batch })
     }
 
-    /// Submits a request, routed by its [`DeadlineClass`]: urgent requests
-    /// are always accepted, prefetch requests are handed back for
-    /// cancellation when the backlog is full. Returns the queue depth
-    /// after an accepted push.
-    pub fn submit(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
-        match req.class {
-            DeadlineClass::Urgent => Ok(self.queue.push_urgent(req)),
-            DeadlineClass::Prefetch => self.queue.push_prefetch(req),
-        }
+    /// Submits an urgent request; it is always accepted. Returns the queue
+    /// depth after the push.
+    pub fn submit_urgent(&self, req: FetchRequest) -> usize {
+        debug_assert_eq!(req.class, DeadlineClass::Urgent);
+        self.queue.push_urgent(req)
+    }
+
+    /// Submits a run of prefetch requests in one push; the tail the backlog
+    /// has no room for is handed back for cancellation. Returns the queue
+    /// depth after the push and the shed tail.
+    pub fn submit_prefetch_run(&self, run: Vec<FetchRequest>) -> (usize, Vec<FetchRequest>) {
+        debug_assert!(run.iter().all(|r| r.class == DeadlineClass::Prefetch));
+        self.queue.push_prefetch_run(run)
     }
 }
 

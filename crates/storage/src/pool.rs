@@ -569,14 +569,13 @@ impl BufferPool {
         let span = self.inner.tracer.current_span();
         if let Some(stage) = &self.inner.stage {
             let ticket = Ticket::new();
-            let submitted = stage.submit(FetchRequest {
+            let depth = stage.submit_urgent(FetchRequest {
                 key,
                 class: DeadlineClass::Urgent,
                 ls: Arc::clone(ls),
                 completion: Completion::Ticket(Arc::clone(&ticket)),
                 span,
             });
-            let depth = submitted.unwrap_or_else(|_| unreachable!("urgent never dropped"));
             self.inner.metrics.io_submitted.inc();
             self.inner.metrics.io_queue_depth.record(depth as u64);
             self.inner
@@ -623,66 +622,92 @@ impl BufferPool {
         }
     }
 
-    /// Submits an advisory prefetch for `key` to the I/O stage. Returns
-    /// `true` when a fetch was queued; `false` when the page is already
-    /// resident, loading, or quarantined, when the stage is off, or when
-    /// the prefetch backlog is full (the request is then *cancelled*: the
-    /// just-installed load slot is withdrawn and published so pins that
-    /// joined it re-inspect and load themselves).
+    /// Submits a run of advisory prefetches to the I/O stage. Every key
+    /// not already resident, loading or quarantined gets a `Loading` slot;
+    /// then the whole run is queued under one queue lock with one worker
+    /// wakeup, so a worker pops it together and reads each consecutive page
+    /// range with one ranged read. Returns how many pages were queued: 0
+    /// when the stage is off. When the prefetch backlog cannot take the
+    /// whole run, its tail is *cancelled*: those pages' slots are withdrawn
+    /// and published, so pins that joined them re-inspect and load
+    /// themselves. Callers keep runs within
+    /// [`BufferPool::prefetch_run_limit`].
     ///
     /// Unlike a pin, an accepted prefetch holds nothing: the loaded frame
     /// is left resident and unpinned, and errors are dropped (a later pin
     /// surfaces them). Never blocks on I/O.
-    pub fn prefetch_submit(&self, key: PageKey) -> bool {
-        let Some(stage) = &self.inner.stage else { return false };
-        let shard = self.inner.shard(key);
-        let ls = {
-            let mut state = shard.lock();
-            if state.quarantine.contains_key(&key) || state.slots.contains_key(&key) {
-                return false;
-            }
-            let ls = LoadState::new();
-            state.slots.insert(key, Slot::Loading(Arc::clone(&ls)));
-            ls
-        };
+    pub fn prefetch_submit(&self, keys: &[PageKey]) -> usize {
+        let Some(stage) = &self.inner.stage else { return 0 };
         // Prefetches are attributed to the scan-partition span that asked
         // for them, so explain_analyze sees who dragged in which page.
         let span = self.inner.tracer.current_span();
-        let req = FetchRequest {
-            key,
-            class: DeadlineClass::Prefetch,
-            ls,
-            completion: Completion::Advisory,
-            span,
-        };
-        match stage.submit(req) {
-            Ok(depth) => {
-                self.inner.metrics.io_submitted.inc();
-                self.inner.metrics.prefetches.inc();
-                self.inner.metrics.io_queue_depth.record(depth as u64);
+        let run: Vec<FetchRequest> = keys
+            .iter()
+            .filter_map(|&key| {
+                let mut state = self.inner.shard(key).lock();
+                if state.quarantine.contains_key(&key) || state.slots.contains_key(&key) {
+                    return None;
+                }
+                let ls = LoadState::new();
+                state.slots.insert(key, Slot::Loading(Arc::clone(&ls)));
+                Some(FetchRequest {
+                    key,
+                    class: DeadlineClass::Prefetch,
+                    ls,
+                    completion: Completion::Advisory,
+                    span,
+                })
+            })
+            .collect();
+        if run.is_empty() {
+            return 0;
+        }
+        let queued: Vec<PageKey> = run.iter().map(|r| r.key).collect();
+        let (depth, shed) = stage.submit_prefetch_run(run);
+        let accepted = queued.len() - shed.len();
+        if accepted > 0 {
+            self.inner.metrics.io_submitted.add(accepted as u64);
+            self.inner.metrics.prefetches.add(accepted as u64);
+            self.inner.metrics.io_queue_depth.record(depth as u64);
+            for key in &queued[..accepted] {
                 self.inner
                     .tracer
                     .emit_tagged(EventKind::IoSubmitted, key.chain.0, key.page_no, 0, span, 0);
-                true
-            }
-            Err(req) => {
-                self.inner.metrics.io_shed.inc();
-                // Cancelled: withdraw our Loading slot (pointer-checked
-                // against a newer load), then publish so any pin already
-                // parked on it re-inspects the empty slot and loads itself.
-                {
-                    let mut state = shard.lock();
-                    if matches!(
-                        state.slots.get(&key),
-                        Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, &req.ls)
-                    ) {
-                        state.slots.remove(&key);
-                    }
-                }
-                req.ls.publish();
-                false
             }
         }
+        for req in shed {
+            self.inner.metrics.io_shed.inc();
+            // Cancelled: withdraw our Loading slot (pointer-checked against
+            // a newer load), then publish so any pin already parked on it
+            // re-inspects the empty slot and loads itself.
+            {
+                let mut state = self.inner.shard(req.key).lock();
+                if matches!(
+                    state.slots.get(&req.key),
+                    Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, &req.ls)
+                ) {
+                    state.slots.remove(&req.key);
+                }
+            }
+            req.ls.publish();
+        }
+        accepted
+    }
+
+    /// The most pages one [`BufferPool::prefetch_submit`] run should carry
+    /// for a chain of `page_size`-byte pages: the stage's `max_batch`, so
+    /// one worker pops the run whole, and at most a quarter of the paged
+    /// pool's lower limit, so a scan's two runs in flight (see the
+    /// scan drivers' run read-ahead) take at most half of the pool. 0 when
+    /// the stage is off.
+    pub fn prefetch_run_limit(&self, page_size: usize) -> usize {
+        let Some(stage) = &self.inner.stage else { return 0 };
+        let by_pool = self
+            .inner
+            .resman
+            .paged_limits()
+            .map_or(usize::MAX, |l| l.lower_bytes / 4 / page_size.max(1));
+        stage.max_batch.min(by_pool).max(1)
     }
 
     /// True when the page is currently resident (regardless of pins).

@@ -5,7 +5,7 @@ use crate::sync::{Condvar, Mutex};
 use crate::{ChainId, PageKey, StorageError, StorageResult};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -228,7 +228,10 @@ const DESC_CAP: u32 = 4096;
 const PAGE_TRAILER_LEN: usize = 8;
 
 struct ChainFile {
-    file: File,
+    /// Shared so a read can go on with the handle after the chains lock is
+    /// released. All I/O is positioned (`pread`/`pwrite`): no call moves
+    /// a shared file cursor.
+    file: Arc<File>,
     page_size: usize,
     len: u64,
     /// On-disk header format: [`FORMAT_LEGACY`], [`FORMAT_CHECKSUMMED`] or
@@ -261,6 +264,56 @@ impl ChainFile {
             HEADER_LEN
         }
     }
+
+    /// What a page read needs, copied out so the read and its checksum run
+    /// after the chains lock is released.
+    fn reader(&self) -> SlotReader {
+        SlotReader {
+            file: Arc::clone(&self.file),
+            page_size: self.page_size,
+            len: self.len,
+            data_start: self.data_start(),
+            slot_len: self.slot_len(),
+            checksummed: self.checksummed(),
+        }
+    }
+}
+
+/// A chain's file handle and read geometry, detached from the chains map.
+/// Slots below `len` are immutable once appended, so reading them without
+/// the lock races nothing; a chain dropped meanwhile stays readable through
+/// the open handle.
+struct SlotReader {
+    file: Arc<File>,
+    page_size: usize,
+    len: u64,
+    data_start: u64,
+    slot_len: u64,
+    checksummed: bool,
+}
+
+impl SlotReader {
+    /// Reads one page: the payload straight into its own page buffer, then
+    /// (checksummed formats) the trailer, verified against the
+    /// page-number-keyed CRC.
+    fn read_slot(&self, key: PageKey) -> StorageResult<Box<[u8]>> {
+        if key.page_no >= self.len {
+            return Err(StorageError::PageOutOfBounds { key, chain_len: self.len });
+        }
+        let offset = self.data_start + key.page_no * self.slot_len;
+        let mut page = vec![0u8; self.page_size].into_boxed_slice();
+        self.file.read_exact_at(&mut page, offset)?;
+        if self.checksummed {
+            let mut trailer = [0u8; 4];
+            self.file.read_exact_at(&mut trailer, offset + self.page_size as u64)?;
+            let stored = u32::from_le_bytes(trailer);
+            let computed = page_checksum(key.page_no, &page);
+            if stored != computed {
+                return Err(StorageError::ChecksumMismatch { key, stored, computed });
+            }
+        }
+        Ok(page)
+    }
 }
 
 /// A durable page store: one file per chain under a directory. Reopening the
@@ -289,7 +342,7 @@ impl FileStore {
             };
             let Ok(id) = u64::from_str_radix(hex, 16) else { continue };
             let path = entry.path();
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+            let file = OpenOptions::new().read(true).write(true).open(&path)?;
             let file_len = file.metadata()?.len();
             // Every validation failure below names the offending file and the
             // byte offset of the bad field, in one format (StorageError::
@@ -303,8 +356,7 @@ impl FileStore {
                 ));
             }
             let mut header = [0u8; HEADER_LEN as usize];
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut header)?;
+            file.read_exact_at(&mut header, 0)?;
             if &header[..8] != FILE_MAGIC {
                 return Err(StorageError::corrupt_file(
                     &path,
@@ -332,7 +384,7 @@ impl FileStore {
                         ));
                     }
                     let mut ext = [0u8; 8];
-                    file.read_exact(&mut ext)?;
+                    file.read_exact_at(&mut ext, HEADER_LEN)?;
                     let cap = u32::from_le_bytes([ext[0], ext[1], ext[2], ext[3]]);
                     let used = u32::from_le_bytes([ext[4], ext[5], ext[6], ext[7]]);
                     if used > cap {
@@ -355,7 +407,7 @@ impl FileStore {
                     ));
                 }
             };
-            let c = ChainFile { file, page_size, len: 0, format, desc_cap, desc_len };
+            let c = ChainFile { file: Arc::new(file), page_size, len: 0, format, desc_cap, desc_len };
             let data_start = c.data_start();
             if file_len < data_start {
                 return Err(StorageError::corrupt_file(
@@ -390,25 +442,6 @@ impl FileStore {
         self.dir.join(format!("chain_{id:016x}.pg"))
     }
 
-    /// Verifies and trims one raw slot (payload + optional trailer) as read
-    /// from disk into a page payload.
-    fn verify_slot(c: &ChainFile, key: PageKey, mut slot: Vec<u8>) -> StorageResult<Box<[u8]>> {
-        if c.checksummed() {
-            let stored = u32::from_le_bytes([
-                slot[c.page_size],
-                slot[c.page_size + 1],
-                slot[c.page_size + 2],
-                slot[c.page_size + 3],
-            ]);
-            let computed = page_checksum(key.page_no, &slot[..c.page_size]);
-            if stored != computed {
-                return Err(StorageError::ChecksumMismatch { key, stored, computed });
-            }
-        }
-        slot.truncate(c.page_size);
-        Ok(slot.into_boxed_slice())
-    }
-
     /// File offset of a chain's page slot 0 (past header and descriptor
     /// region), and the on-disk slot length in bytes. For tools and chaos
     /// tests that corrupt or inspect chain files behind the store's back.
@@ -418,13 +451,12 @@ impl FileStore {
         Ok((c.data_start(), c.slot_len()))
     }
 
-    /// Reads one in-bounds page's slot (seek + read + verify).
-    fn read_slot(c: &mut ChainFile, key: PageKey) -> StorageResult<Box<[u8]>> {
-        let mut buf = vec![0u8; c.slot_len() as usize];
-        let offset = c.data_start() + key.page_no * c.slot_len();
-        c.file.seek(SeekFrom::Start(offset))?;
-        c.file.read_exact(&mut buf)?;
-        Self::verify_slot(c, key, buf)
+    /// The chain's read handle and geometry. The chains lock is held only
+    /// for this lookup: the read and its checksum run without it.
+    fn reader(&self, chain: ChainId) -> StorageResult<SlotReader> {
+        let chains = self.chains.lock();
+        let c = chains.get(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
+        Ok(c.reader())
     }
 }
 
@@ -432,7 +464,7 @@ impl PageStore for FileStore {
     fn create_chain(&self, page_size: usize) -> StorageResult<ChainId> {
         assert!(page_size > 0, "page size must be positive");
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create_new(true)
@@ -445,10 +477,17 @@ impl PageStore for FileStore {
         header[8..12].copy_from_slice(&(page_size as u32).to_le_bytes());
         header[12..16].copy_from_slice(&FORMAT_DESCRIBED.to_le_bytes());
         header[16..20].copy_from_slice(&DESC_CAP.to_le_bytes());
-        file.write_all(&header)?;
+        file.write_all_at(&header, 0)?;
         self.chains.lock().insert(
             id,
-            ChainFile { file, page_size, len: 0, format: FORMAT_DESCRIBED, desc_cap: DESC_CAP, desc_len: 0 },
+            ChainFile {
+                file: Arc::new(file),
+                page_size,
+                len: 0,
+                format: FORMAT_DESCRIBED,
+                desc_cap: DESC_CAP,
+                desc_len: 0,
+            },
         );
         Ok(ChainId(id))
     }
@@ -469,21 +508,13 @@ impl PageStore for FileStore {
             slot[c.page_size..c.page_size + 4].copy_from_slice(&crc.to_le_bytes());
         }
         let offset = c.data_start() + c.len * c.slot_len();
-        c.file.seek(SeekFrom::Start(offset))?;
-        c.file.write_all(&slot)?;
+        c.file.write_all_at(&slot, offset)?;
         c.len += 1;
         Ok(c.len - 1)
     }
 
     fn read_page(&self, key: PageKey) -> StorageResult<Box<[u8]>> {
-        let mut chains = self.chains.lock();
-        let c = chains
-            .get_mut(&key.chain.0)
-            .ok_or(StorageError::UnknownChain(key.chain.0))?;
-        if key.page_no >= c.len {
-            return Err(StorageError::PageOutOfBounds { key, chain_len: c.len });
-        }
-        Self::read_slot(c, key)
+        self.reader(key.chain)?.read_slot(key)
     }
 
     fn read_pages(
@@ -492,42 +523,15 @@ impl PageStore for FileStore {
         first_page: u64,
         count: usize,
     ) -> Vec<StorageResult<Box<[u8]>>> {
-        let mut chains = self.chains.lock();
-        let Some(c) = chains.get_mut(&chain.0) else {
-            return (0..count).map(|_| Err(StorageError::UnknownChain(chain.0))).collect();
+        let r = match self.reader(chain) {
+            Ok(r) => r,
+            Err(_) => return (0..count).map(|_| Err(StorageError::UnknownChain(chain.0))).collect(),
         };
-        let in_bounds = c.len.saturating_sub(first_page).min(count as u64) as usize;
-        let mut out: Vec<StorageResult<Box<[u8]>>> = Vec::with_capacity(count);
-        if in_bounds > 0 {
-            // One positioned read covers the whole adjacent run; verification
-            // stays per page so a rotted page fails only its own slot.
-            let slot = c.slot_len() as usize;
-            let mut buf = vec![0u8; slot * in_bounds];
-            let ranged = c
-                .file
-                .seek(SeekFrom::Start(c.data_start() + first_page * c.slot_len()))
-                .and_then(|_| c.file.read_exact(&mut buf));
-            match ranged {
-                Ok(()) => {
-                    for i in 0..in_bounds {
-                        let key = PageKey::new(chain, first_page + i as u64);
-                        out.push(Self::verify_slot(c, key, buf[i * slot..(i + 1) * slot].to_vec()));
-                    }
-                }
-                // The ranged read itself failed: retry page by page so every
-                // slot gets its own typed error (or succeeds individually).
-                Err(_) => {
-                    for i in 0..in_bounds {
-                        out.push(Self::read_slot(c, PageKey::new(chain, first_page + i as u64)));
-                    }
-                }
-            }
-        }
-        for i in in_bounds..count {
-            let key = PageKey::new(chain, first_page + i as u64);
-            out.push(Err(StorageError::PageOutOfBounds { key, chain_len: c.len }));
-        }
-        out
+        // Every slot of the run lands in its own page buffer and is verified
+        // on its own, so a rotted page fails only its own result.
+        (first_page..first_page + count as u64)
+            .map(|page_no| r.read_slot(PageKey::new(chain, page_no)))
+            .collect()
     }
 
     fn chain_len(&self, chain: ChainId) -> StorageResult<u64> {
@@ -573,23 +577,20 @@ impl PageStore for FileStore {
                 c.desc_cap
             )));
         }
-        c.file.seek(SeekFrom::Start(HEADER2_LEN))?;
-        c.file.write_all(desc)?;
-        c.file.seek(SeekFrom::Start(20))?;
-        c.file.write_all(&(desc.len() as u32).to_le_bytes())?;
+        c.file.write_all_at(desc, HEADER2_LEN)?;
+        c.file.write_all_at(&(desc.len() as u32).to_le_bytes(), 20)?;
         c.desc_len = desc.len() as u32;
         Ok(())
     }
 
     fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>> {
-        let mut chains = self.chains.lock();
-        let c = chains.get_mut(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
+        let chains = self.chains.lock();
+        let c = chains.get(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
         if c.format != FORMAT_DESCRIBED || c.desc_len == 0 {
             return Ok(Vec::new());
         }
         let mut buf = vec![0u8; c.desc_len as usize];
-        c.file.seek(SeekFrom::Start(HEADER2_LEN))?;
-        c.file.read_exact(&mut buf)?;
+        c.file.read_exact_at(&mut buf, HEADER2_LEN)?;
         Ok(buf)
     }
 }

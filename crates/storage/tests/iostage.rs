@@ -39,18 +39,17 @@ fn gated_pool(
 #[test]
 #[cfg(not(payg_check))]
 fn coalesced_batch_isolates_a_corrupt_page() {
-    // Park the single worker on a decoy read while six adjacent prefetches
-    // (one of them corrupt) pile up, then release it: the worker must pop
-    // all six as one batch, issue exactly one ranged read for the run, and
-    // still fail/quarantine only the corrupt page.
+    // Park the single worker on a decoy read while a run of six adjacent
+    // prefetches (one of them corrupt) waits, then release it: the worker
+    // must pop all six as one batch, issue exactly one ranged read for the
+    // run, and still fail/quarantine only the corrupt page.
     let (store, pool, chain) = gated_pool(256);
     store.inner().set_plan(FaultPlan::CorruptPages(vec![PageKey::new(chain, 3)]));
     store.close();
-    assert!(pool.prefetch_submit(PageKey::new(chain, 7)), "decoy prefetch accepted");
+    assert_eq!(pool.prefetch_submit(&[PageKey::new(chain, 7)]), 1, "decoy prefetch accepted");
     store.wait_for_waiters(1); // the worker is parked inside the decoy read
-    for p in 0..6u64 {
-        assert!(pool.prefetch_submit(PageKey::new(chain, p)), "prefetch {p} accepted");
-    }
+    let run: Vec<PageKey> = (0..6u64).map(|p| PageKey::new(chain, p)).collect();
+    assert_eq!(pool.prefetch_submit(&run), 6, "the whole run is accepted");
     store.open();
     // Demand pins join the staged completions via single flight.
     for p in 0..6u64 {
@@ -74,16 +73,16 @@ fn coalesced_batch_isolates_a_corrupt_page() {
 #[test]
 #[cfg(not(payg_check))]
 fn queue_pressure_sheds_prefetches_but_never_demand() {
-    // Capacity 2 with the worker parked: the third prefetch is shed and its
-    // placeholder cancelled, so a later demand pin on that page elects
-    // itself loader instead of waiting forever.
+    // Capacity 2 with the worker parked: the run's third prefetch is shed
+    // and its placeholder cancelled, so a later demand pin on that page
+    // elects itself loader instead of waiting forever.
     let (store, pool, chain) = gated_pool(2);
     store.close();
-    assert!(pool.prefetch_submit(PageKey::new(chain, 0)), "parked read");
+    assert_eq!(pool.prefetch_submit(&[PageKey::new(chain, 0)]), 1, "parked read");
     store.wait_for_waiters(1);
-    assert!(pool.prefetch_submit(PageKey::new(chain, 1)));
-    assert!(pool.prefetch_submit(PageKey::new(chain, 2)));
-    assert!(!pool.prefetch_submit(PageKey::new(chain, 3)), "cap 2 sheds the third");
+    let run = [PageKey::new(chain, 1), PageKey::new(chain, 2), PageKey::new(chain, 3)];
+    assert_eq!(pool.prefetch_submit(&run), 2, "cap 2 sheds the run's third page");
+    assert!(!pool.is_resident(run[2]), "the shed page's slot is withdrawn");
     store.open();
     for p in 0..4u64 {
         assert_eq!(pool.pin(PageKey::new(chain, p)).unwrap()[0], p as u8);

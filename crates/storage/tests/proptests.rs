@@ -156,10 +156,11 @@ proptest! {
             PoolConfig { io_stage: None, ..PoolConfig::default() },
         );
         prop_assert!(!sequential.io_stage_active());
-        // Flood the stage with adjacent submissions so completions ride
-        // coalesced ranged reads whenever the workers batch them up.
-        for p in 0..n {
-            staged.prefetch_submit(PageKey::new(chain, p));
+        // Submit the whole chain as runs so completions ride coalesced
+        // ranged reads.
+        let keys: Vec<PageKey> = (0..n).map(|p| PageKey::new(chain, p)).collect();
+        for run in keys.chunks(staged.prefetch_run_limit(64)) {
+            staged.prefetch_submit(run);
         }
         for p in 0..n {
             let key = PageKey::new(chain, p);

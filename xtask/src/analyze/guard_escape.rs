@@ -154,7 +154,7 @@ fn blocking_event(toks: &[Tok], i: usize) -> Option<&'static str> {
     if dot_call("wait") {
         return Some("a blocking wait");
     }
-    if dot_call("submit") {
+    if dot_call("submit") || dot_call("submit_urgent") || dot_call("submit_prefetch_run") {
         return Some("an I/O-stage submit");
     }
     if dot_call("sleep") {
@@ -229,9 +229,9 @@ mod tests {
 
     #[test]
     fn wait_and_submit_are_events() {
-        let src = "fn f(&self) {\n    let g = cache.get_or_pin(p, pin_fn)?;\n    let t = stage.submit(req);\n    ticket.wait();\n    touch(g, t);\n}\n";
+        let src = "fn f(&self) {\n    let g = cache.get_or_pin(p, pin_fn)?;\n    let t = stage.submit(req);\n    let d = stage.submit_urgent(req);\n    let s = stage.submit_prefetch_run(run);\n    ticket.wait();\n    touch(g, t, d, s);\n}\n";
         let got = run_src("crates/core/src/datavec/paged.rs", src);
-        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!(got.len(), 4, "{got:?}");
     }
 
     #[test]
